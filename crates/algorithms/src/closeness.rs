@@ -23,28 +23,26 @@ pub fn multi_source_bfs_levels(
     // levels: like Fig. 3's numsp, the structure doubles as the
     // "already discovered" set
     let levels = Matrix::<i64>::new(n, b)?;
+    // frontier(s_j, j) = true: the sources themselves are level 0, and
+    // the first mxm expands them — a push through A's rows, so no level
+    // ever needs the transposed view of A
+    let frontier = Matrix::<bool>::new(n, b)?;
+    // Both blocks are read row by row every level (the push scatter, the
+    // mask, the write stage). Under `Auto` they would migrate between
+    // hypersparse, bitmap and CSR as the frontier grows and shrinks,
+    // paying two O(n) conversions per operation; keep them in CSR.
+    levels.set_format_policy(FormatPolicy::Force(Format::Csr));
+    frontier.set_format_policy(FormatPolicy::Force(Format::Csr));
     let cols: Vec<Index> = (0..b).collect();
-    let zeros = vec![0i64; b];
-    levels.build(sources, &cols, &zeros, &First::<i64, i64>::new())?;
+    frontier.build(sources, &cols, &vec![true; b], &First::<bool, bool>::new())?;
 
-    // frontier<!levels> = A^T selected columns (Fig. 3 lines 31-33 shape)
+    // frontier<!levels> = A^T lor.land frontier (Fig. 3 lines 39-46 shape)
     let desc_tsr = Descriptor::default()
         .transpose_first()
         .complement_mask()
         .structural_mask()
         .replace();
-    let frontier = Matrix::<bool>::new(n, b)?;
-    ctx.extract_matrix(
-        &frontier,
-        &levels,
-        NoAccum,
-        a,
-        ALL,
-        IndexSelection::List(sources),
-        &desc_tsr,
-    )?;
-
-    let mut d = 1i64;
+    let mut d = 0i64;
     while frontier.nvals()? > 0 {
         // levels<frontier> = d (merge mode: only frontier positions set)
         ctx.assign_scalar_matrix(
@@ -66,6 +64,9 @@ pub fn multi_source_bfs_levels(
             &frontier,
             &desc_tsr,
         )?;
+        // trace-visible completion, as in `bfs_levels`: each level's
+        // push/pull choice lands in the execution trace
+        ctx.wait()?;
         d += 1;
     }
     Ok(levels)

@@ -13,7 +13,13 @@
 //!   dense → sparse, so Auto switches push → pull mid-traversal (the
 //!   trace evidence lives in `tests/direction_equivalence.rs`).
 //!
-//! Both workloads step the frontier with `mxv` (`q' = A ⊕.⊗ q`), whose
+//! - `bfs_multi{1,32}`: the batched BFS the query service runs, one
+//!   masked `mxm` over an n×b frontier block per level, from 1 and from
+//!   32 sources — Auto (push on sparse levels, Gustavson pull near a
+//!   wide batch's peak) against every level forced to the Gustavson
+//!   pull (`Direction::Pull`, the pre-push kernel).
+//!
+//! The first two workloads step the frontier with `mxv` (`q' = A ⊕.⊗ q`), whose
 //! pre-PR kernel is the dense merge-walk pull over *every* row of A —
 //! the "dense-pull baseline" of the experiment. (`vxm`'s legacy kernel
 //! already expanded only frontier rows, so its gap is the O(n)
@@ -27,6 +33,7 @@
 //! service runs in.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use graphblas_algorithms::bfs_multi;
 use graphblas_core::prelude::*;
 use graphblas_core::spmspv::{self, Direction};
 use graphblas_gen::barabasi_albert;
@@ -140,6 +147,18 @@ fn bench_directions(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| spmspv::with_direction(dir, || bfs_mxv(&ctx, &a, 0)))
+        });
+    }
+
+    let one = [sources[0]];
+    for (name, dir, batch) in [
+        ("bfs_multi1_auto", Direction::Auto, &one[..]),
+        ("bfs_multi1_pull", Direction::Pull, &one[..]),
+        ("bfs_multi32_auto", Direction::Auto, &sources[..]),
+        ("bfs_multi32_pull", Direction::Pull, &sources[..]),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| spmspv::with_direction(dir, || bfs_multi(&ctx, &a, batch).unwrap().len()))
         });
     }
     group.finish();

@@ -76,10 +76,13 @@ pub struct TraceEvent {
     /// consumer, and by which rewrite. Timings are zero for these events
     /// (the pass runs before the clock-bearing schedulers start).
     pub fused: Option<crate::exec::FusedNote>,
-    /// For matrix–vector products: the direction the SpMSpV dispatch
-    /// chose (`"push"`, `"pull"`, or `"dense"`); `None` for every other
-    /// kind. This is the trace evidence that direction optimization
-    /// actually switches mid-traversal.
+    /// For products: the form the direction dispatch chose. Matrix–vector
+    /// products (`vxm`/`mxv`) record `"push"`, `"pull"` or `"dense"`;
+    /// `mxm` records `"push"` (scatter from B's entries), `"pull"`
+    /// (row-wise Gustavson) or `"dot"` (masked dot products). A node
+    /// that fused an `mxm` producer records the producer's choice.
+    /// `None` for every other kind. This is the trace evidence that
+    /// direction optimization actually switches mid-traversal.
     pub direction: Option<&'static str>,
     /// `Some(op_name)` when this node's kernels ran a runtime-registered
     /// operator (`algebra::udf`) — the erased kernel lane. `None` for

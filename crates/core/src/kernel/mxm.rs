@@ -1,8 +1,15 @@
 //! Sparse matrix–matrix multiply over a semiring (`GrB_mxm`'s compute
 //! stage): `T(i,j) = ⊕_{k ∈ ind(A(i,:)) ∩ ind(B(:,j))} A(i,k) ⊗ B(k,j)`.
 //!
-//! Row-wise Gustavson SpGEMM, parallel over rows. Two accumulator
-//! strategies (selectable for the ablation benches, `Auto` in production):
+//! Row-wise Gustavson SpGEMM ([`mxm`]), parallel over rows, plus two
+//! forms that skip most of it when the operands allow: the masked dot
+//! product ([`mxm_dot`]) and the push form ([`mxm_push`]), which
+//! scatters B's stored entries through the rows of `Aᵀ` so a sparse
+//! frontier block costs its products, not a sweep of every row of A.
+//! `kernel::spmspv::choose_mxm` picks among the three per call; all
+//! three fold each output in ascending inner index `k`, so the choice is
+//! bitwise invisible. Gustavson has two accumulator strategies
+//! (selectable for the ablation benches, `Auto` in production):
 //!
 //! * **Dense**: an `ncols`-wide scatter array per worker — best for rows
 //!   whose result is a large fraction of the width;
@@ -19,7 +26,7 @@ use crate::algebra::binary::BinaryOp;
 use crate::algebra::monoid::Monoid;
 use crate::algebra::semiring::Semiring;
 use crate::index::Index;
-use crate::kernel::util::{assemble_rows, map_rows, map_rows_init};
+use crate::kernel::util::{assemble_rows, map_rows, map_rows_init, map_spans};
 use crate::mask::{MaskCsr, Pattern};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
@@ -185,7 +192,7 @@ where
         || Workspace::<D3>::new(ncols),
         |ws, i| {
             let mrow = mask.row(i);
-            if mrow.admits_nothing() || a.row_nvals(i) == 0 {
+            if mrow.admits_none_of(ncols) || a.row_nvals(i) == 0 {
                 return (Vec::new(), Vec::new());
             }
             let unmasked = mrow.admits_everything();
@@ -256,6 +263,100 @@ where
         },
     );
     assemble_rows(nrows, ncols, rows)
+}
+
+/// Push-form SpGEMM: `T = A ⊕.⊗ B` given `at = Aᵀ`, formed by
+/// scattering every stored `B(k, j)` through row `k` of `at` — the
+/// matrix analog of the SpMSpV push, and for `T = Aᵀ ⊕.⊗ F` (the BFS and
+/// BC frontier step) `at` is A's native row view, so no transpose is
+/// built. Work is O(products + nrows(T) + nrows(B)), independent of
+/// nnz(A). Each product is admitted through the mask before it is
+/// formed. Products are gathered in ascending `k` (in parallel chunks
+/// that come back in `k` order), bucketed by output row with a stable
+/// counting sort, stable-sorted by column within each row and folded
+/// left to right — so every output accumulates in ascending `k`, the
+/// order of [`mxm`] and [`mxm_dot`]: bitwise equal at any parallelism
+/// degree.
+pub fn mxm_push<D1, D2, D3, S>(sr: &S, at: &Csr<D1>, b: &Csr<D2>, mask: &MaskCsr) -> Csr<D3>
+where
+    D1: Scalar,
+    D2: Scalar,
+    D3: Scalar,
+    S: Semiring<D1, D2, D3>,
+{
+    debug_assert_eq!(at.nrows(), b.nrows());
+    let (nrows, ncols) = (at.ncols(), b.ncols());
+    let add = sr.add();
+    let mul = sr.mul();
+    // inner indices that form at least one product, ascending
+    let ks: Vec<Index> = (0..b.nrows())
+        .filter(|&k| b.row_nvals(k) > 0 && at.row_nvals(k) > 0)
+        .collect();
+    let work: usize = ks.iter().map(|&k| at.row_nvals(k) * b.row_nvals(k)).sum();
+    let gather = |lo: usize, hi: usize| {
+        let mut prods: Vec<(Index, Index, D3)> = Vec::new();
+        for &k in &ks[lo..hi] {
+            let (bc, bv) = b.row(k);
+            let (ac, av) = at.row(k);
+            for (&i, aik) in ac.iter().zip(av) {
+                let mrow = mask.row(i);
+                if mrow.admits_none_of(ncols) {
+                    continue;
+                }
+                for (&j, bkj) in bc.iter().zip(bv) {
+                    if mrow.admits(j) {
+                        prods.push((i, j, mul.apply(aik, bkj)));
+                    }
+                }
+            }
+        }
+        prods
+    };
+    let prods = map_spans(ks.len(), work, gather);
+    // stable counting sort by output row: `order` lists product
+    // positions row by row, ascending k within each row
+    let mut bucket = vec![0usize; nrows + 1];
+    for &(i, _, _) in &prods {
+        bucket[i + 1] += 1;
+    }
+    for i in 0..nrows {
+        bucket[i + 1] += bucket[i];
+    }
+    let mut order = vec![0usize; prods.len()];
+    let mut next = bucket.clone();
+    for (p, &(i, _, _)) in prods.iter().enumerate() {
+        order[next[i]] = p;
+        next[i] += 1;
+    }
+    let mut row_ptr = Vec::with_capacity(nrows + 1);
+    row_ptr.push(0usize);
+    let mut col_idx: Vec<Index> = Vec::new();
+    let mut vals: Vec<D3> = Vec::new();
+    for i in 0..nrows {
+        let row = &mut order[bucket[i]..bucket[i + 1]];
+        if row.is_empty() {
+            row_ptr.push(col_idx.len());
+            continue;
+        }
+        // stable: equal columns keep ascending k (a single-column block
+        // is already in column order)
+        if ncols > 1 {
+            row.sort_by_key(|&p| prods[p].1);
+        }
+        let start = col_idx.len();
+        for &p in row.iter() {
+            let (_, j, v) = &prods[p];
+            if col_idx.len() > start && col_idx.last() == Some(j) {
+                let acc = vals.last_mut().expect("a column was pushed");
+                *acc = add.apply(acc, v);
+            } else {
+                col_idx.push(*j);
+                vals.push(v.clone());
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    Csr::from_parts(nrows, ncols, row_ptr, col_idx, vals)
 }
 
 /// Hypersparse SpGEMM: `T = A ⊕.⊗ B` where `A` is hypersparse, walking
@@ -332,7 +433,7 @@ where
         },
         |(ws, ac, av, cur), i| {
             let mrow = mask.row(i);
-            if mrow.admits_nothing() {
+            if mrow.admits_none_of(ncols) {
                 return (Vec::new(), Vec::new());
             }
             // Gather A(i,:) across the stripe's tiles in ascending-k order.
@@ -732,6 +833,22 @@ mod tests {
         assert_eq!(masked, reference);
         assert_eq!(masked.nvals(), 1);
         let _ = tiled::take_tiles();
+    }
+
+    #[test]
+    fn push_kernel_matches_gustavson_under_every_mask() {
+        // T = A ⊕.⊗ B from A^T's rows, against the row-wise kernel, with
+        // no mask, a mask, and its complement (incl. a fully closed row)
+        let m = Csr::from_sorted_tuples(2, 2, vec![(0, 0, true), (0, 1, true), (1, 1, true)]);
+        for mask in [
+            MaskCsr::All,
+            MaskCsr::from_csr(&m, true, false),
+            MaskCsr::from_csr(&m, true, true),
+        ] {
+            let row_wise = mxm(&plus_times::<i32>(), &a(), &b(), &mask, MxmStrategy::Auto);
+            let push = mxm_push(&plus_times::<i32>(), &a().transpose(), &b(), &mask);
+            assert_eq!(push, row_wise);
+        }
     }
 
     #[test]

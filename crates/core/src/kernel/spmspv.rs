@@ -21,12 +21,18 @@
 //! reverse view is not yet materialized. This is the LAGraph-style
 //! direction switch: push on sparse frontiers, pull near the dense peak.
 //!
+//! The same cost model picks the form of each `mxm` (`choose_mxm`):
+//! push (scatter B's stored entries through the rows of `A'ᵀ`, the
+//! column-block frontier step of batched BFS and BC), row-wise
+//! Gustavson, or masked dot products.
+//!
 //! **Determinism contract.** All three strategies accumulate each output
 //! element's contributions in ascending input-index order with the same
-//! left-fold association, and the parallel push path merges its chunk
-//! results in chunk (= frontier) order — so push ≡ pull ≡ dense
-//! *bitwise* (NaN payloads, signed zeros and all) at every parallelism
-//! degree, the same contract the chunked kernels already honor.
+//! left-fold association. The parallel push gathers its chunks in
+//! frontier order and folds only after one stable sort over all of
+//! them, never per chunk — so push ≡ pull ≡ dense *bitwise* (NaN
+//! payloads, signed zeros and non-associative float sums all) at every
+//! parallelism degree, the same contract the chunked kernels honor.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -37,23 +43,28 @@ use crate::index::Index;
 #[cfg(feature = "parallel")]
 use crate::kernel::par;
 use crate::kernel::util::{map_rows, map_rows_init};
-use crate::mask::MaskVec;
+use crate::mask::{MaskCsr, MaskVec};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::engine::{Bitmap, Layout, MatrixStore};
 use crate::storage::tiled::{self, OrientedTiles, RowCursor, Tiled};
 use crate::storage::vec::SparseVec;
 
-/// Evaluation strategy for one matrix–vector product.
+/// Evaluation strategy for one matrix–vector product (and, through
+/// `choose_mxm`, for one `mxm`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Let the cost model decide (the default).
     Auto,
-    /// Force the sparse-accumulator push (scatter) path.
+    /// Force the sparse-accumulator push (scatter) path; for `mxm`, the
+    /// scatter from B's stored entries.
     Push,
-    /// Force the per-output merge-walk pull path.
+    /// Force the per-output merge-walk pull path; for `mxm`, row-wise
+    /// Gustavson.
     Pull,
-    /// Force the pre-direction-optimization dense kernels.
+    /// Force the pre-direction-optimization dense kernels; for `mxm`,
+    /// the masked dot form where a non-complemented mask allows it
+    /// (Gustavson otherwise).
     Dense,
 }
 
@@ -99,13 +110,14 @@ pub fn with_direction<R>(d: Direction, f: impl FnOnce() -> R) -> R {
 }
 
 thread_local! {
-    /// Direction taken by the most recent dispatch on this thread; the
-    /// scheduler drains it into the trace after each node compute.
+    /// Direction taken by the most recent `vxm`/`mxv`/`mxm` dispatch on
+    /// this thread; the scheduler drains it into the trace after each
+    /// node compute.
     static CHOSEN: std::cell::Cell<Option<&'static str>> =
         const { std::cell::Cell::new(None) };
 }
 
-fn note_direction(d: &'static str) {
+pub(crate) fn note_direction(d: &'static str) {
     CHOSEN.with(|c| c.set(Some(d)));
 }
 
@@ -297,7 +309,7 @@ fn wide_pull(mask: &MaskVec, out_size: Index) -> bool {
 
 /// The CSR view with rows indexed by A's columns (`col_side = true`) or
 /// rows (`false`).
-fn oriented<T: Scalar>(store: &MatrixStore<T>, col_side: bool) -> Arc<Csr<T>> {
+pub(crate) fn oriented<T: Scalar>(store: &MatrixStore<T>, col_side: bool) -> Arc<Csr<T>> {
     if col_side {
         store.col_csr()
     } else {
@@ -409,13 +421,112 @@ fn choose<A: Scalar, V: Scalar>(
     }
 }
 
+/// Evaluation form for one `mxm`, `T = A' ⊕.⊗ B'` (primes: the
+/// descriptor's transposes applied), chosen by [`choose_mxm`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MxmForm {
+    /// Scatter from B's stored entries through the rows of `A'ᵀ`
+    /// ([`crate::kernel::mxm::mxm_push`]); `"push"` in the trace.
+    Push,
+    /// Row-wise Gustavson over the rows of `A'`
+    /// ([`crate::kernel::mxm::mxm`]); `"pull"` in the trace.
+    Gustavson,
+    /// Dot products at the positions of a non-complemented mask
+    /// ([`crate::kernel::mxm::mxm_dot`]); `"dot"` in the trace.
+    Dot,
+}
+
+/// The direction heuristic for `mxm`, over the same property cache as
+/// [`choose`]. `a` is A's store (`tr_a`: the descriptor transposes it),
+/// `b` is B' in row orientation, and `bt_free` says whether B'ᵀ is
+/// already materialized. With `products` = Σ over B's stored `(k, j)` of
+/// the cached degree of row `k` of `A'ᵀ` (the exact multiply count of
+/// push and Gustavson alike) and `penalty(view)` = `nnz(A) + nrows(T)`
+/// when that CSR orientation of A is not free:
+///
+/// * a non-complemented mask far smaller than `products` takes the dot
+///   form (the pre-existing rule, unchanged);
+/// * `push = 2·products + penalty(A'ᵀ)` (the 2 pays the sort);
+/// * `pull = nnz(A) + nrows(T) + products + penalty(A')` — Gustavson
+///   sweeps every row of `A'` whatever B holds.
+///
+/// The smaller wins, ties to Gustavson. `with_direction` forces a form:
+/// `Push` → push, `Pull` → Gustavson, `Dense` → dot where the mask
+/// allows it (else Gustavson).
+pub(crate) fn choose_mxm<A: Scalar, B: Scalar>(
+    a: &MatrixStore<A>,
+    tr_a: bool,
+    b: &Csr<B>,
+    mask: &MaskCsr,
+    bt_free: bool,
+) -> MxmForm {
+    let pattern = match mask {
+        MaskCsr::Pattern {
+            pattern,
+            complement: false,
+        } => Some(pattern),
+        _ => None,
+    };
+    let form = match direction_override() {
+        Direction::Push => MxmForm::Push,
+        Direction::Pull => MxmForm::Gustavson,
+        Direction::Dense if pattern.is_some() => MxmForm::Dot,
+        Direction::Dense => MxmForm::Gustavson,
+        Direction::Auto => {
+            // rows of A'ᵀ are indexed by the inner dimension k: A's rows
+            // when the descriptor transposes A, its columns otherwise
+            let fwd_deg = if tr_a {
+                a.row_degrees()
+            } else {
+                a.col_degrees()
+            };
+            let products = (0..b.nrows()).fold(0usize, |acc, k| {
+                acc.saturating_add(fwd_deg[k].saturating_mul(b.row_nvals(k)))
+            });
+            let admitted = pattern.map_or(0, |p| p.nvals());
+            if admitted > 0
+                && (admitted.saturating_mul(16) <= products || (bt_free && admitted <= products))
+            {
+                MxmForm::Dot
+            } else {
+                let nnz = a.nvals();
+                let out_rows = if tr_a { a.ncols() } else { a.nrows() };
+                // as in `choose`: symmetry shares the row view, and the
+                // probe only runs once the row view exists
+                let penalty = |col_side: bool| {
+                    let free =
+                        a.csr_view_ready(col_side) || (a.csr_view_ready(false) && a.is_symmetric());
+                    if free {
+                        0
+                    } else {
+                        nnz.saturating_add(out_rows)
+                    }
+                };
+                let push = products.saturating_mul(2).saturating_add(penalty(!tr_a));
+                let pull = nnz.saturating_add(out_rows).saturating_add(products);
+                // cost Gustavson's view of A only when push does not
+                // already win against a free one
+                if push < pull || push < pull.saturating_add(penalty(tr_a)) {
+                    MxmForm::Push
+                } else {
+                    MxmForm::Gustavson
+                }
+            }
+        }
+    };
+    note_direction(match form {
+        MxmForm::Push => "push",
+        MxmForm::Gustavson => "pull",
+        MxmForm::Dot => "dot",
+    });
+    form
+}
+
 /// Sparse-accumulator push over frontier positions `lo..hi`: gather
-/// `(output index, product)` pairs in frontier order, stable-sort by
-/// output index (preserving frontier order within each), and reduce
-/// adjacent duplicates left-to-right — ascending-input-index
+/// `(output index, product)` pairs in frontier order for
+/// [`gather_fold`] to sort and reduce — ascending-input-index
 /// accumulation, same as every other path.
-#[allow(clippy::too_many_arguments)] // chunk-span shape, mirrors kernel::par callees
-fn push_gather<A, V, D3, M, R>(
+fn push_gather<A, V, D3, M>(
     fwd: &Csr<A>,
     vi: &[Index],
     vv: &[V],
@@ -423,14 +534,12 @@ fn push_gather<A, V, D3, M, R>(
     lo: usize,
     hi: usize,
     mulf: &M,
-    addf: &R,
-) -> (Vec<Index>, Vec<D3>)
+) -> Vec<(Index, D3)>
 where
     A: Scalar,
     V: Scalar,
     D3: Scalar,
     M: Fn(&A, &V) -> D3,
-    R: Fn(&D3, &D3) -> D3,
 {
     let mut pairs: Vec<(Index, D3)> = Vec::new();
     for p in lo..hi {
@@ -444,19 +553,47 @@ where
             pairs.push((*j, mulf(a, &vv[p])));
         }
     }
-    reduce_pairs(pairs, addf)
+    pairs
 }
 
-/// Stable-sort gathered `(output index, product)` pairs and reduce
-/// adjacent duplicates left-to-right — the shared tail of the slab and
-/// tiled push gathers. Stability keeps frontier order within each
-/// output index, so accumulation stays in ascending input-index order.
-fn reduce_pairs<D3, R>(mut pairs: Vec<(Index, D3)>, addf: &R) -> (Vec<Index>, Vec<D3>)
+/// Gather `(output index, product)` pairs over frontier positions
+/// `0..items` with `gather(lo, hi)`, stable-sort them by index (equal
+/// indices keep frontier order) and fold each run left to right — the
+/// shared tail of the slab and tiled pushes, so every output
+/// accumulates in ascending input-index order. Large frontiers gather
+/// and sort in chunks on the shared pool; the chunks come back in
+/// frontier order, and one more stable sort over their concatenation
+/// merges the sorted runs (O(pairs · log chunks)) without reordering
+/// ties. Partial sums are never formed per chunk: a chunk-local fold
+/// would re-associate a floating-point sum that spans a chunk boundary.
+fn gather_fold<D3, G, R>(items: usize, work: usize, gather: G, addf: &R) -> (Vec<Index>, Vec<D3>)
 where
-    D3: Scalar,
+    D3: Send,
+    G: Fn(usize, usize) -> Vec<(Index, D3)> + Sync,
     R: Fn(&D3, &D3) -> D3,
 {
-    pairs.sort_by_key(|&(j, _)| j); // stable sort: frontier order survives
+    let sorted = |lo: usize, hi: usize| {
+        let mut pairs = gather(lo, hi);
+        pairs.sort_by_key(|&(j, _)| j); // stable sort: frontier order survives
+        pairs
+    };
+    #[cfg(feature = "parallel")]
+    let pairs = match par::plan(items, work) {
+        Some(plan) => {
+            let mut pairs: Vec<(Index, D3)> = par::run_chunks(items, plan, sorted)
+                .into_iter()
+                .flatten()
+                .collect();
+            pairs.sort_by_key(|&(j, _)| j);
+            pairs
+        }
+        None => sorted(0, items),
+    };
+    #[cfg(not(feature = "parallel"))]
+    let pairs = {
+        let _ = work;
+        sorted(0, items)
+    };
     let mut idx: Vec<Index> = Vec::new();
     let mut out: Vec<D3> = Vec::new();
     for (j, prod) in pairs {
@@ -475,8 +612,7 @@ where
 /// drawn from the stripe's tiles left-to-right, so pairs are gathered in
 /// ascending global output order within each frontier position — the
 /// same order a slab row yields.
-#[allow(clippy::too_many_arguments)] // chunk-span shape, mirrors push_gather
-fn push_gather_tiled<A, V, D3, M, R>(
+fn push_gather_tiled<A, V, D3, M>(
     ot: &OrientedTiles<'_, A>,
     vi: &[Index],
     vv: &[V],
@@ -484,14 +620,12 @@ fn push_gather_tiled<A, V, D3, M, R>(
     lo: usize,
     hi: usize,
     mulf: &M,
-    addf: &R,
-) -> (Vec<Index>, Vec<D3>)
+) -> Vec<(Index, D3)>
 where
     A: Scalar,
     V: Scalar,
     D3: Scalar,
     M: Fn(&A, &V) -> D3,
-    R: Fn(&D3, &D3) -> D3,
 {
     let mut pairs: Vec<(Index, D3)> = Vec::new();
     // frontier indices are sorted, so the cursor's stripe cache hits
@@ -507,7 +641,7 @@ where
             }
         });
     }
-    reduce_pairs(pairs, addf)
+    pairs
 }
 
 /// Push over a tiled store: the frontier walk of [`push`], reading rows
@@ -534,78 +668,15 @@ where
     let vi = v.indices();
     let vv = v.vals();
     let ot = OrientedTiles::new(t, col_side);
-    #[cfg(not(feature = "parallel"))]
-    let _ = fwd_deg;
-    #[cfg(feature = "parallel")]
-    {
-        let work: usize = vi.iter().map(|&i| fwd_deg[i]).sum();
-        if let Some(plan) = par::plan(vi.len(), work) {
-            let parts = par::run_chunks(vi.len(), plan, |lo, hi| {
-                push_gather_tiled(&ot, vi, vv, mask, lo, hi, mulf, addf)
-            });
-            let merged = parts
-                .into_iter()
-                .reduce(|a, b| merge_sorted(a, b, addf))
-                .unwrap_or_default();
-            tiled::note_tiles(ot.touched());
-            return SparseVec::from_sorted_parts(out_size, merged.0, merged.1);
-        }
-    }
-    let (idx, vals) = push_gather_tiled(&ot, vi, vv, mask, 0, vi.len(), mulf, addf);
+    let work: usize = vi.iter().map(|&i| fwd_deg[i]).sum();
+    let (idx, vals) = gather_fold(
+        vi.len(),
+        work,
+        |lo, hi| push_gather_tiled(&ot, vi, vv, mask, lo, hi, mulf),
+        addf,
+    );
     tiled::note_tiles(ot.touched());
     SparseVec::from_sorted_parts(out_size, idx, vals)
-}
-
-/// Merge two sorted per-chunk results; `a` comes from earlier frontier
-/// positions, so duplicates combine as `addf(a, b)` — chunk order is
-/// frontier order is input-index order.
-fn merge_sorted<D3, R>(
-    a: (Vec<Index>, Vec<D3>),
-    b: (Vec<Index>, Vec<D3>),
-    addf: &R,
-) -> (Vec<Index>, Vec<D3>)
-where
-    D3: Scalar,
-    R: Fn(&D3, &D3) -> D3,
-{
-    let (ai, av) = a;
-    let (bi, bv) = b;
-    let mut idx = Vec::with_capacity(ai.len() + bi.len());
-    let mut out = Vec::with_capacity(av.len() + bv.len());
-    let mut ap = ai.iter().zip(av).peekable();
-    let mut bp = bi.iter().zip(bv).peekable();
-    loop {
-        match (ap.peek(), bp.peek()) {
-            (Some((&x, _)), Some((&y, _))) => {
-                if x < y {
-                    let (_, v) = ap.next().expect("peeked");
-                    idx.push(x);
-                    out.push(v);
-                } else if y < x {
-                    let (_, v) = bp.next().expect("peeked");
-                    idx.push(y);
-                    out.push(v);
-                } else {
-                    let (_, va) = ap.next().expect("peeked");
-                    let (_, vb) = bp.next().expect("peeked");
-                    idx.push(x);
-                    out.push(addf(&va, &vb));
-                }
-            }
-            (Some(_), None) => {
-                let (&x, v) = ap.next().expect("peeked");
-                idx.push(x);
-                out.push(v);
-            }
-            (None, Some(_)) => {
-                let (&y, v) = bp.next().expect("peeked");
-                idx.push(y);
-                out.push(v);
-            }
-            (None, None) => break,
-        }
-    }
-    (idx, out)
 }
 
 fn push<A, V, D3, M, R>(
@@ -625,23 +696,13 @@ where
 {
     let vi = v.indices();
     let vv = v.vals();
-    #[cfg(feature = "parallel")]
-    {
-        let work: usize = vi.iter().map(|&i| fwd.row_nvals(i)).sum();
-        if let Some(plan) = par::plan(vi.len(), work) {
-            let parts = par::run_chunks(vi.len(), plan, |lo, hi| {
-                push_gather(fwd, vi, vv, mask, lo, hi, mulf, addf)
-            });
-            // left-fold in chunk order: identical association to the
-            // serial frontier walk
-            let merged = parts
-                .into_iter()
-                .reduce(|a, b| merge_sorted(a, b, addf))
-                .unwrap_or_default();
-            return SparseVec::from_sorted_parts(out_size, merged.0, merged.1);
-        }
-    }
-    let (idx, vals) = push_gather(fwd, vi, vv, mask, 0, vi.len(), mulf, addf);
+    let work: usize = vi.iter().map(|&i| fwd.row_nvals(i)).sum();
+    let (idx, vals) = gather_fold(
+        vi.len(),
+        work,
+        |lo, hi| push_gather(fwd, vi, vv, mask, lo, hi, mulf),
+        addf,
+    );
     SparseVec::from_sorted_parts(out_size, idx, vals)
 }
 

@@ -54,6 +54,78 @@ where
     (0..nrows).map(|i| f(&mut s, i)).collect()
 }
 
+/// Evaluate `f(lo, hi)` over `0..items` — in chunks on the shared pool
+/// when the cost model says so — and concatenate the results in item
+/// order.
+pub(crate) fn map_spans<R, F>(items: usize, work: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, usize) -> Vec<R> + Sync,
+{
+    #[cfg(feature = "parallel")]
+    if let Some(plan) = par::plan(items, work) {
+        return par::run_chunks(items, plan, f)
+            .into_iter()
+            .flatten()
+            .collect();
+    }
+    let _ = work;
+    f(0, items)
+}
+
+/// A contiguous run of output rows computed into shared buffers: row
+/// `lo + r` ends at `ends[r]` within `cols`/`vals`. Kernels whose rows
+/// are mostly empty or short fill one of these per chunk instead of one
+/// `Vec` pair per row, so an `n × b` frontier block costs O(n) cheap
+/// steps rather than O(n) allocations.
+pub(crate) struct RowSpan<T> {
+    pub(crate) ends: Vec<usize>,
+    pub(crate) cols: Vec<Index>,
+    pub(crate) vals: Vec<T>,
+}
+
+/// Compute rows `0..nrows` as [`RowSpan`]s: `f(lo, hi)` fills rows
+/// `lo..hi`, chunked onto the shared pool when the cost model says so,
+/// and the spans are stitched together in row order.
+pub(crate) fn map_row_spans<T, F>(nrows: Index, ncols: Index, work: usize, f: F) -> Csr<T>
+where
+    T: Scalar,
+    F: Fn(usize, usize, &mut RowSpan<T>) + Sync,
+{
+    let run = |lo: usize, hi: usize| {
+        let mut span = RowSpan {
+            ends: Vec::with_capacity(hi - lo),
+            cols: Vec::new(),
+            vals: Vec::new(),
+        };
+        f(lo, hi, &mut span);
+        debug_assert_eq!(span.ends.len(), hi - lo);
+        span
+    };
+    #[cfg(feature = "parallel")]
+    if let Some(plan) = par::plan(nrows, work) {
+        let spans = par::run_chunks(nrows, plan, run);
+        let mut row_ptr = Vec::with_capacity(nrows + 1);
+        row_ptr.push(0usize);
+        let total = spans.iter().map(|s| s.cols.len()).sum();
+        let mut cols = Vec::with_capacity(total);
+        let mut vals = Vec::with_capacity(total);
+        for span in spans {
+            let base = cols.len();
+            row_ptr.extend(span.ends.iter().map(|e| base + e));
+            cols.extend(span.cols);
+            vals.extend(span.vals);
+        }
+        return Csr::from_parts(nrows, ncols, row_ptr, cols, vals);
+    }
+    let _ = work;
+    let span = run(0, nrows);
+    let mut row_ptr = Vec::with_capacity(nrows + 1);
+    row_ptr.push(0usize);
+    row_ptr.extend(span.ends);
+    Csr::from_parts(nrows, ncols, row_ptr, span.cols, span.vals)
+}
+
 /// Assemble a CSR matrix from independently computed rows. Each row's
 /// column indices must already be sorted and duplicate-free.
 pub(crate) fn assemble_rows<T: Scalar>(

@@ -13,7 +13,7 @@
 
 use crate::accum::Accumulate;
 use crate::index::Index;
-use crate::kernel::util::{assemble_rows, map_rows};
+use crate::kernel::util::map_row_spans;
 use crate::mask::{MaskCsr, MaskRow, MaskVec};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
@@ -146,25 +146,50 @@ pub fn write_matrix<T: Scalar, Ac: Accumulate<T>>(
     if mask.admits_all() && !Ac::IS_ACCUM {
         return t;
     }
-    let rows = map_rows(c_old.nrows(), c_old.nvals() + t.nvals(), |i| {
-        let (cc, cv) = c_old.row(i);
-        let (tc, tv) = t.row(i);
-        let mut idx = Vec::with_capacity(cc.len() + tc.len());
-        let mut vals = Vec::with_capacity(cc.len() + tc.len());
-        write_row(
-            cc,
-            cv,
-            tc,
-            tv,
-            accum,
-            mask.row(i),
-            replace,
-            &mut idx,
-            &mut vals,
-        );
-        (idx, vals)
-    });
-    assemble_rows(c_old.nrows(), c_old.ncols(), rows)
+    let work = c_old.nvals() + t.nvals();
+    let ncols = c_old.ncols();
+    // a row with nothing stored, or one the mask closes entirely: old C
+    // survives it in merge mode and is deleted under replace, so runs
+    // of such rows are copied (or skipped) in bulk, with no merge walk
+    let closed = |i: Index| {
+        (c_old.row_nvals(i) == 0 && t.row_nvals(i) == 0) || mask.row(i).admits_none_of(ncols)
+    };
+    let (c_ptr, c_cols, c_vals) = (c_old.row_ptr(), c_old.col_idx(), c_old.vals());
+    map_row_spans(c_old.nrows(), ncols, work, |lo, hi, span| {
+        let mut i = lo;
+        while i < hi {
+            let run_end = (i..hi).find(|&r| !closed(r)).unwrap_or(hi);
+            if run_end > i {
+                if replace {
+                    let len = span.cols.len();
+                    span.ends.extend(std::iter::repeat_n(len, run_end - i));
+                } else {
+                    let (before, start, end) = (span.cols.len(), c_ptr[i], c_ptr[run_end]);
+                    span.cols.extend_from_slice(&c_cols[start..end]);
+                    span.vals.extend_from_slice(&c_vals[start..end]);
+                    span.ends
+                        .extend(c_ptr[i + 1..=run_end].iter().map(|&e| before + e - start));
+                }
+                i = run_end;
+                continue;
+            }
+            let (cc, cv) = c_old.row(i);
+            let (tc, tv) = t.row(i);
+            write_row(
+                cc,
+                cv,
+                tc,
+                tv,
+                accum,
+                mask.row(i),
+                replace,
+                &mut span.cols,
+                &mut span.vals,
+            );
+            span.ends.push(span.cols.len());
+            i += 1;
+        }
+    })
 }
 
 /// Full pipeline for vectors: `w ⊙=<mask, replace> t`.

@@ -133,6 +133,19 @@ impl<'a> MaskRow<'a> {
         }
     }
 
+    /// `true` if no position of a `width`-column row can be admitted:
+    /// [`Self::admits_nothing`], or a complemented pattern that lists
+    /// every column (a row a BFS has fully discovered). Pattern columns
+    /// are distinct and below `width`, so the count decides.
+    #[inline]
+    pub fn admits_none_of(&self, width: Index) -> bool {
+        match self.cols {
+            None => false,
+            Some(cols) if self.complement => cols.len() >= width,
+            Some(cols) => cols.is_empty(),
+        }
+    }
+
     /// `true` if every position in this row is admitted.
     #[inline]
     pub fn admits_everything(&self) -> bool {
@@ -288,6 +301,13 @@ mod tests {
         assert!(r_empty.row(0).admits_nothing());
         let r_full = MaskCsr::from_csr(&Csr::<bool>::empty(2, 2), false, true);
         assert!(r_full.row(1).admits_everything());
+        assert!(r_empty.row(0).admits_none_of(2));
+        assert!(!r_full.row(0).admits_none_of(2));
+        // complement of a row listing every column admits nothing
+        let seen = Csr::from_sorted_tuples(2, 2, vec![(0, 0, true), (0, 1, true), (1, 1, true)]);
+        let not_seen = MaskCsr::from_csr(&seen, true, true);
+        assert!(not_seen.row(0).admits_none_of(2));
+        assert!(!not_seen.row(1).admits_none_of(2));
     }
 
     #[test]

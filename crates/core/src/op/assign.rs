@@ -15,7 +15,7 @@ use crate::kernel::assign::{
     assign_matrix, assign_scalar_matrix, assign_scalar_vector, assign_vector,
 };
 use crate::kernel::write::{write_matrix, write_vector};
-use crate::mask::MaskVec;
+use crate::mask::{MaskCsr, MaskVec};
 use crate::object::mask_arg::{MatrixMask, VectorMask};
 use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
@@ -103,11 +103,54 @@ impl Context {
         Ac: Accumulate<T>,
         Mk: MatrixMask,
     {
+        check_mask_dims2(mask.mask_dims(), c.shape())?;
+
+        // Whole-matrix masked scalar fill (`C<M> = value` over
+        // `GrB_ALL` x `GrB_ALL`, the batched-BFS `levels<frontier> = d`
+        // shape): as for vectors, build Z straight from a
+        // non-complemented mask pattern instead of the O(m·n) dense fill
+        // and the resolved index lists the write stage would discard.
+        if !Ac::IS_ACCUM
+            && mask.mask_dims().is_some()
+            && matches!(rows, IndexSelection::All)
+            && matches!(cols, IndexSelection::All)
+        {
+            let c_node = c.capture();
+            let msnap = mask.snap(desc);
+            let mut deps: Vec<_> = vec![c_node.clone() as _];
+            deps.extend(msnap.deps());
+            let replace = desc.is_replace();
+            let eval = move || {
+                let c_old = c_node.ready_storage()?.row_csr();
+                let mcsr = msnap.materialize()?;
+                let z = match &mcsr {
+                    MaskCsr::Pattern {
+                        pattern,
+                        complement: false,
+                    } => pattern.map(|_| value.clone()),
+                    // a complemented pattern admits O(m·n) positions
+                    // anyway: keep the dense fill
+                    _ => {
+                        let rows: Vec<Index> = (0..c_old.nrows()).collect();
+                        let cols: Vec<Index> = (0..c_old.ncols()).collect();
+                        assign_scalar_matrix(&c_old, &value, &rows, &cols, &crate::accum::NoAccum)
+                    }
+                };
+                Ok(write_matrix(
+                    &c_old,
+                    z,
+                    &crate::accum::NoAccum,
+                    &mcsr,
+                    replace,
+                ))
+            };
+            return self.submit_matrix("assign", c, deps, Box::new(eval));
+        }
+
         let rows = rows.resolve(c.nrows())?;
         let cols = cols.resolve(c.ncols())?;
         check_no_duplicates(&rows, "row")?;
         check_no_duplicates(&cols, "column")?;
-        check_mask_dims2(mask.mask_dims(), c.shape())?;
 
         // A 1x1 no-accum unmasked scalar assign is exactly a point
         // update: route it through the O(1) pending-update buffer
@@ -359,6 +402,43 @@ mod tests {
         assert_eq!(
             w.extract_tuples().unwrap(),
             vec![(0, 7), (2, 7), (3, 9), (4, 7)]
+        );
+    }
+
+    #[test]
+    fn masked_whole_matrix_fill_touches_only_admitted_positions() {
+        // the matrix twin of the vector test above: merge, replace and
+        // complement over GrB_ALL x GrB_ALL, valued and structural masks
+        let ctx = Context::blocking();
+        let mask = Matrix::from_tuples(3, 2, &[(0, 1, true), (2, 0, true), (2, 1, false)]).unwrap();
+        let old = [(0, 0, 9), (2, 0, 9), (1, 1, 9)];
+
+        let c = Matrix::from_tuples(3, 2, &old).unwrap();
+        ctx.assign_scalar_matrix(&c, &mask, NoAccum, 7, ALL, ALL, &Descriptor::default())
+            .unwrap();
+        assert_eq!(
+            c.extract_tuples().unwrap(),
+            vec![(0, 0, 9), (0, 1, 7), (1, 1, 9), (2, 0, 7)]
+        );
+
+        let c = Matrix::from_tuples(3, 2, &old).unwrap();
+        let desc = Descriptor::default().replace().structural_mask();
+        ctx.assign_scalar_matrix(&c, &mask, NoAccum, 7, ALL, ALL, &desc)
+            .unwrap();
+        // structural: the stored false at (2,1) admits too
+        assert_eq!(
+            c.extract_tuples().unwrap(),
+            vec![(0, 1, 7), (2, 0, 7), (2, 1, 7)]
+        );
+
+        let c = Matrix::from_tuples(3, 2, &old).unwrap();
+        let desc = Descriptor::default().complement_mask();
+        ctx.assign_scalar_matrix(&c, &mask, NoAccum, 7, ALL, ALL, &desc)
+            .unwrap();
+        // complement of {(0,1), (2,0)}: every other position is filled
+        assert_eq!(
+            c.extract_tuples().unwrap(),
+            vec![(0, 0, 7), (1, 0, 7), (1, 1, 7), (2, 0, 9), (2, 1, 7)]
         );
     }
 

@@ -10,7 +10,10 @@ use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::fuse::MatProducer;
 use crate::exec::{Completable, Context};
-use crate::kernel::mxm::{mxm as mxm_kernel, mxm_dot, mxm_hyper, mxm_tiled, MxmStrategy};
+use crate::kernel::mxm::{mxm as mxm_kernel, mxm_dot, mxm_hyper, mxm_push, mxm_tiled, MxmStrategy};
+use crate::kernel::spmspv::{
+    choose_mxm, direction_override, note_direction, oriented, Direction, MxmForm,
+};
 use crate::kernel::write::write_matrix;
 use crate::mask::MaskCsr;
 use crate::object::mask_arg::MatrixMask;
@@ -32,8 +35,11 @@ impl Context {
     /// * `desc` — `GrB_INP0`/`GrB_INP1 = GrB_TRAN` transpose the inputs;
     ///   `GrB_OUTP = GrB_REPLACE` clears unmasked output positions.
     ///
-    /// Masked products are computed only at admitted positions; strongly
-    /// masked products switch to dot-product form automatically.
+    /// Masked products are computed only at admitted positions. Each call
+    /// picks one of three bitwise-identical forms from the operands'
+    /// cached degrees (`kernel::spmspv::choose_mxm`): push for a sparse
+    /// B (a BFS/BC frontier block), row-wise Gustavson for dense work,
+    /// dot products under a strongly selective mask.
     // the C operation signature: out, mask, accum, op, inputs, descriptor
     #[allow(clippy::too_many_arguments)]
     pub fn mxm<D1, D2, D3, S, Ac, Mk>(
@@ -97,32 +103,30 @@ impl Context {
             let (a_node, b_node) = (a_node.clone(), b_node.clone());
             let semiring = semiring.clone();
             move |mcsr: &MaskCsr| -> Result<Csr<D3>> {
-                let a_st = oriented_storage(&a_node, tr_a)?;
+                let a_store = a_node.ready_storage()?;
                 let b_st = oriented_storage(&b_node, tr_b)?;
-
-                // Strongly masked products: switch to dot-product form when
-                // the admitted set is far smaller than the scatter flop
-                // count — or as soon as it's merely no larger, when B's
-                // transposed view is already materialized (a Csc store or a
-                // cached conversion) and the dot form costs no transpose.
-                let t = match mcsr {
-                    MaskCsr::Pattern {
-                        pattern,
-                        complement: false,
-                    } if pattern.nvals() > 0 => {
-                        let flops: usize = a_st.col_idx().iter().map(|&k| b_st.row_nvals(k)).sum();
-                        let bt_free = b_node.ready_storage()?.csr_view_ready(!tr_b);
-                        if pattern.nvals() * 16 <= flops || (bt_free && pattern.nvals() <= flops) {
-                            // B^T comes from the store's memoized column
-                            // view; if the descriptor already transposed B,
-                            // the effective B^T is B itself.
-                            let bt_st = oriented_storage(&b_node, !tr_b)?;
-                            mxm_dot(&semiring, &a_st, &bt_st, pattern)
-                        } else {
-                            mxm_kernel(&semiring, &a_st, &b_st, mcsr, MxmStrategy::Auto)
-                        }
+                // B'^T is free when B's other orientation is already
+                // materialized (a Csc store or a cached conversion); the
+                // dot form then costs no transpose
+                let bt_free = b_node.ready_storage()?.csr_view_ready(!tr_b);
+                // only the chosen form's view of A is built: a push never
+                // transposes A, a Gustavson sweep never builds A'^T
+                let t = match choose_mxm(&a_store, tr_a, &b_st, mcsr, bt_free) {
+                    MxmForm::Push => mxm_push(&semiring, &oriented(&a_store, !tr_a), &b_st, mcsr),
+                    MxmForm::Dot => {
+                        let MaskCsr::Pattern { pattern, .. } = mcsr else {
+                            unreachable!("the dot form needs a mask pattern")
+                        };
+                        // if the descriptor already transposed B, the
+                        // effective B^T is B itself
+                        let bt_st = oriented_storage(&b_node, !tr_b)?;
+                        let a_st = oriented(&a_store, tr_a);
+                        mxm_dot(&semiring, &a_st, &bt_st, pattern)
                     }
-                    _ => mxm_kernel(&semiring, &a_st, &b_st, mcsr, MxmStrategy::Auto),
+                    MxmForm::Gustavson => {
+                        let a_st = oriented(&a_store, tr_a);
+                        mxm_kernel(&semiring, &a_st, &b_st, mcsr, MxmStrategy::Auto)
+                    }
                 };
 
                 if let Some(e) = semiring
@@ -142,9 +146,13 @@ impl Context {
                 // Hypersparse fast path: A stored hypersparse and used
                 // untransposed — walk only its non-empty rows and emit a
                 // hypersparse store directly, skipping the O(nrows) CSR
-                // assembly entirely.
-                if write_is_identity && !tr_a {
+                // assembly entirely. Both fast paths are Gustavson forms,
+                // so a forced push or dot form skips them.
+                let gustavson_ok =
+                    matches!(direction_override(), Direction::Auto | Direction::Pull);
+                if write_is_identity && !tr_a && gustavson_ok {
                     if let Layout::Hyper(a_hyper) = a_node.ready_storage()?.layout() {
+                        note_direction("pull");
                         let a_hyper = a_hyper.clone();
                         let b_st = oriented_storage(&b_node, tr_b)?;
                         let t = mxm_hyper(&semiring, &a_hyper, &b_st, &MaskCsr::All);
@@ -162,6 +170,7 @@ impl Context {
                     // is ascending k, so the product is bitwise-identical
                     // to the slab kernel's.
                     if let Layout::Tiled(a_tiled) = a_node.ready_storage()?.layout() {
+                        note_direction("pull");
                         let a_tiled = a_tiled.clone();
                         let b_st = oriented_storage(&b_node, tr_b)?;
                         let t = mxm_tiled(&semiring, &a_tiled, &b_st, &MaskCsr::All);
@@ -376,6 +385,44 @@ mod tests {
         ctx.wait().unwrap();
         assert!(c.is_complete());
         assert_eq!(c.get(0, 0).unwrap(), Some(6));
+    }
+
+    #[test]
+    fn sparse_frontier_step_pushes_without_transposing_a() {
+        // frontier<!seen> = A^T lor.land frontier, one source: the push
+        // reads A's native rows, so A's column view is never built
+        let ctx = Context::blocking();
+        let edges = [
+            (0, 1, true),
+            (0, 2, true),
+            (1, 3, true),
+            (2, 3, true),
+            (4, 0, true),
+        ];
+        let a = Matrix::from_tuples(5, 5, &edges).unwrap();
+        let frontier = Matrix::from_tuples(5, 1, &[(0, 0, true)]).unwrap();
+        let seen = Matrix::from_tuples(5, 1, &[(0, 0, true)]).unwrap();
+        let desc = Descriptor::default()
+            .transpose_first()
+            .complement_mask()
+            .structural_mask()
+            .replace();
+        ctx.mxm(
+            &frontier,
+            &seen,
+            NoAccum,
+            crate::algebra::semiring::lor_land(),
+            &a,
+            &frontier,
+            &desc,
+        )
+        .unwrap();
+        assert_eq!(
+            frontier.extract_tuples().unwrap(),
+            vec![(1, 0, true), (2, 0, true)]
+        );
+        let a_store = a.capture().ready_storage().unwrap();
+        assert!(!a_store.csr_view_ready(true), "push built A's transpose");
     }
 
     #[test]

@@ -13,7 +13,12 @@
 //! The one batched path: a coalesced BFS [`Batch`] becomes a single
 //! [`bfs_multi`] call — the §VII column-block frontier sweep — and the
 //! per-source level vectors are demultiplexed back to the individual
-//! requests' reply slots.
+//! requests' reply slots. A batch of any size, one source included,
+//! takes that path: each level's masked `mxm` picks its own form from
+//! the snapshot's cached degrees, pushing sparse frontier blocks through
+//! the pinned adjacency's native rows (no transpose of a freshly pinned
+//! snapshot) and switching to the Gustavson pull only near a wide
+//! batch's peak.
 
 use std::sync::atomic::Ordering;
 

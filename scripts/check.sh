@@ -42,16 +42,26 @@ cargo test -q --features mmap-cold --test out_of_core
 
 # Thread matrix: the pool width and default degree follow
 # GRB_TEST_THREADS, and the determinism suites (serial-vs-parallel,
-# deferred-vs-eager pending updates, MVCC snapshot isolation,
-# push/pull/dense SpMSpV direction equivalence, tiled-vs-slab bitwise
-# equivalence, and the query service's admission/fairness/
-# write-isolation properties) must hold at every count.
+# blocking-vs-nonblocking modes, deferred-vs-eager pending updates,
+# MVCC snapshot isolation, push/pull/dense SpMSpV and push/Gustavson/dot
+# mxm direction equivalence, tiled-vs-slab bitwise equivalence, the
+# erased UDF lane, and the query service's admission/fairness/
+# write-isolation properties) must hold at every count. The suite list
+# is the same as the thread-matrix job in .github/workflows/ci.yml.
+suites="--test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence"
 for threads in 1 2 8; do
-    echo "== GRB_TEST_THREADS=$threads cargo test -q --test par_determinism --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence"
-    GRB_TEST_THREADS="$threads" cargo test -q --test par_determinism --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence
+    echo "== GRB_TEST_THREADS=$threads cargo test -q $suites"
+    # shellcheck disable=SC2086 # $suites is a flag list
+    GRB_TEST_THREADS="$threads" cargo test -q $suites
     echo "== GRB_TEST_THREADS=$threads cargo test -q -p server --test admission --test write_during_bfs"
     GRB_TEST_THREADS="$threads" cargo test -q -p server --test admission --test write_during_bfs
 done
+
+# The benchmark's smoke test: every declared metric is emitted, and a
+# corrupted app fails the run, so a library change that trips the
+# benchmark's correctness gate fails here too.
+echo "== cargo test --release --offline --manifest-path perfbench/Cargo.toml (benchmark smoke)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo doc --workspace --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
